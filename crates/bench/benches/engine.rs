@@ -5,28 +5,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use powifi_core::{Router, RouterConfig};
 use powifi_deploy::three_channel_world;
 use powifi_harvest::{MatchingNetwork, Rectifier};
-use powifi_mac::{enqueue, Frame, Mac, MacWorld, Queue, RateController, StationId};
-use powifi_net::{dispatch_stack, start_tcp_flow, tcp_push, NetState, NetWorld, StackEvent};
+use powifi_mac::{start_top_up, Frame, Mac, MacWorld, Queue, RateController, StationId};
+use powifi_net::{dispatch_stack, start_tcp_flow, NetEvent, NetState, NetWorld, StackEvent};
 use powifi_rf::{Bitrate, Dbm, Hertz};
 use powifi_sim::{Dispatch, EventQueue, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/schedule_and_run_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::<u64>::new();
-            let mut w = 0u64;
-            for i in 0..10_000u64 {
-                q.schedule_at(
-                    SimTime::from_nanos((i * 2_654_435_761) % 1_000_000),
-                    |w, _| {
-                        *w += 1;
-                    },
-                );
-            }
-            q.run_to_completion(&mut w);
-            assert_eq!(w, 10_000);
-        })
-    });
     struct Counter(u64);
     impl Dispatch<u32> for Counter {
         fn dispatch(&mut self, _q: &mut EventQueue<Self, u32>, ev: u32) {
@@ -86,15 +70,9 @@ fn bench_mac_saturation(c: &mut Criterion) {
             let m = w.mac.add_medium(SimDuration::from_secs(1));
             let sta = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
             let mut q = Queue::new();
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut W, q| {
-                    if w.mac.queue_depth(sta) < 5 {
-                        enqueue(w, q, sta, Frame::power(sta, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            let f = Frame::power(sta, 1500, Bitrate::G54);
+            let every = SimDuration::from_micros(100);
+            start_top_up(&mut w, &mut q, f, 5, SimTime::ZERO, every);
             q.run_until(&mut w, SimTime::from_secs(1));
             w.mac.station(sta).frames_sent
         })
@@ -113,9 +91,14 @@ fn bench_tcp(c: &mut Criterion) {
             let cl = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
             let mut q = Queue::new();
             let flow = start_tcp_flow(&mut w, ap, cl);
-            q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-                tcp_push(w, q, flow, 100_000_000);
-            });
+            q.post_at(
+                SimTime::ZERO,
+                NetEvent::TcpPush {
+                    flow,
+                    bytes: 100_000_000,
+                }
+                .into(),
+            );
             q.run_until(&mut w, SimTime::from_secs(1));
             w.net.tcp(flow).mean_mbps()
         })

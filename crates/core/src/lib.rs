@@ -24,12 +24,12 @@ pub mod router;
 pub mod silent_slot;
 pub mod stack;
 
-pub use capper::{spawn_capper, CapperConfig};
+pub use capper::{spawn_capper, CapperConfig, CapperSt};
 pub use config::{JitterModel, PowerTrafficConfig, Scheme};
 pub use injector::{
     record_injector_progress, spawn_injector, InjectorCtl, InjectorHandle, InjectorSt,
 };
-pub use multi_router::{install_fleet, FleetMode};
+pub use multi_router::{install_fleet, FleetMode, RotationSt};
 pub use pdos::{spawn_attacker, AttackConfig};
 pub use router::{Router, RouterConfig, RouterIface};
 pub use silent_slot::{spawn_silent_injector, SilentSlotConfig};
@@ -66,6 +66,12 @@ pub enum CoreEvent {
         /// Attack parameters.
         cfg: AttackConfig,
     },
+    /// One occupancy-capper control step (§6); carries the capper's
+    /// spawn-time state block.
+    CapperTick(Rc<RefCell<CapperSt>>),
+    /// One time-division slot boundary of a router fleet (§8c); carries the
+    /// rotation's spawn-time state block.
+    FleetRotate(Rc<RefCell<RotationSt>>),
 }
 
 /// Route a [`CoreEvent`] to its handler. Worlds call this from their
@@ -82,6 +88,8 @@ where
             silent_slot::silent_tick(w, q, iface, cfg, ctl)
         }
         CoreEvent::AttackTick { sta, cfg } => pdos::attack_tick(w, q, sta, cfg),
+        CoreEvent::CapperTick(st) => capper::capper_tick(w, q, st),
+        CoreEvent::FleetRotate(st) => multi_router::fleet_rotate(q, st),
     }
 }
 

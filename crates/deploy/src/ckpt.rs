@@ -6,7 +6,7 @@
 //!
 //! ## Restore is rebuild-and-overlay
 //!
-//! A checkpoint does not serialize closures, `Rc` graphs or derived caches.
+//! A checkpoint does not serialize `Rc` graphs or derived caches.
 //! Instead [`resume_value`] re-executes the deterministic builder
 //! ([`build_office`]) to get the static topology — stations, mediums,
 //! path-loss links, intensity schedules, spawn-time `Rc` state blocks —
@@ -25,8 +25,8 @@
 //! *not* serialized: recomputation is bit-identical, which the roundtrip
 //! tests prove by comparing state hashes, not struct spot checks.
 //!
-//! Checkpoints taken under the conformance checker are refused: audits are
-//! boxed closures in the queue, the one payload kind with no serial form.
+//! Runs under the conformance checker checkpoint like any other: their
+//! periodic MAC audit is a pending typed event.
 
 use crate::background::BurstSt;
 use crate::office::{build_office, OfficeConfig, OfficeScenario};
@@ -323,6 +323,14 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
             .field("interval", Value::U64(interval.as_nanos()))
             .field("rate", Value::str(bitrate_name(*rate)))
             .build(),
+        WorldEvent::Mac(MacEvent::TopUp(source)) => Value::map()
+            .field("kind", Value::str("top_up"))
+            .field("source", Value::U64(*source as u64))
+            .build(),
+        WorldEvent::Mac(MacEvent::Audit { period }) => Value::map()
+            .field("kind", Value::str("audit"))
+            .field("period", Value::U64(period.as_nanos()))
+            .build(),
         WorldEvent::Net(NetEvent::UdpTick {
             flow,
             src,
@@ -360,9 +368,13 @@ fn event_v(ev: &WorldEvent) -> Result<Value, CkptError> {
             .field("st", powifi_core::ckpt::save_injector(&st.borrow()))
             .build(),
         WorldEvent::Core(CoreEvent::SilentTick { .. })
-        | WorldEvent::Core(CoreEvent::AttackTick { .. }) => {
+        | WorldEvent::Core(CoreEvent::AttackTick { .. })
+        | WorldEvent::Core(CoreEvent::CapperTick(_))
+        | WorldEvent::Core(CoreEvent::FleetRotate(_)) => {
             return Err(CkptError::Unsupported(
-                "silent-slot / power-DoS events have no checkpoint form".into(),
+                "silent-slot / power-DoS / capper / fleet-rotation events have no \
+                 checkpoint form"
+                    .into(),
             ))
         }
         WorldEvent::Deploy(DeployEvent::Burst(st)) => {
@@ -388,18 +400,12 @@ struct FreshBlocks {
     bursts: BTreeMap<u32, Rc<RefCell<BurstSt>>>,
 }
 
-fn harvest_blocks(q: &Queue<SimWorld>) -> Result<FreshBlocks, CkptError> {
-    let pending = q.ckpt_pending().map_err(|seq| {
-        CkptError::Unsupported(format!(
-            "rebuilt world has a boxed-closure event (seq {seq}); \
-             resume is incompatible with conformance mode"
-        ))
-    })?;
+fn harvest_blocks(q: &Queue<SimWorld>) -> FreshBlocks {
     let mut blocks = FreshBlocks {
         injectors: BTreeMap::new(),
         bursts: BTreeMap::new(),
     };
-    for (_, _, ev) in pending {
+    for (_, _, ev) in q.ckpt_pending() {
         match ev {
             WorldEvent::Core(CoreEvent::InjectorTick(st)) => {
                 let iface = powifi_core::ckpt::injector_iface(&st.borrow()).0;
@@ -416,7 +422,7 @@ fn harvest_blocks(q: &Queue<SimWorld>) -> Result<FreshBlocks, CkptError> {
             _ => {}
         }
     }
-    Ok(blocks)
+    blocks
 }
 
 fn event_from(v: &Value, blocks: &FreshBlocks) -> Result<WorldEvent, CkptError> {
@@ -427,6 +433,11 @@ fn event_from(v: &Value, blocks: &FreshBlocks) -> Result<WorldEvent, CkptError> 
             sta: StationId(v.u64_field("sta")? as u32),
             interval: SimDuration::from_nanos(v.u64_field("interval")?),
             rate: bitrate_from_name(v.str_field("rate")?, "rate")?,
+        }
+        .into(),
+        "top_up" => MacEvent::TopUp(v.u64_field("source")? as u32).into(),
+        "audit" => MacEvent::Audit {
+            period: SimDuration::from_nanos(v.u64_field("period")?),
         }
         .into(),
         "udp_tick" => NetEvent::UdpTick {
@@ -668,15 +679,11 @@ fn driver_overlay(d: &mut EpochDriver, v: &Value) -> Result<(), CkptError> {
 /// queue time.
 pub fn save_office(run: &OfficeRun) -> Result<Value, CkptError> {
     let (now, next_seq, executed) = run.q.ckpt_counters();
-    let pending = run.q.ckpt_pending().map_err(|seq| {
-        CkptError::Unsupported(format!(
-            "pending event seq {seq} is a boxed closure; \
-             checkpointing is incompatible with conformance mode"
-        ))
-    })?;
-    let events = pending
-        .iter()
-        .map(|&(t, seq, ev)| {
+    let events = run
+        .q
+        .ckpt_pending()
+        .into_iter()
+        .map(|(t, seq, ev)| {
             Ok(Value::map()
                 .field("t", Value::U64(t))
                 .field("seq", Value::U64(seq))
@@ -722,7 +729,7 @@ pub fn resume_value(v: &Value) -> Result<OfficeRun, CkptError> {
     // state come from the tree. (Traffic spec is applied on cold starts;
     // here the flow table arrives wholesale from `restore_net`.)
     let (mut w, mut q, s) = build_office(spec.seed, spec.scheme, spec.cfg);
-    let blocks = harvest_blocks(&q)?;
+    let blocks = harvest_blocks(&q);
     let qv = v.get("queue")?;
     let entries = qv
         .list_field("events")?
@@ -851,16 +858,98 @@ mod tests {
         }
     }
 
+    /// Every encodable pending-event kind survives `event_v` → `event_from`
+    /// → `event_v` unchanged.
     #[test]
-    fn checkpoint_refuses_conformance_mode() {
-        powifi_sim::conformance::set_enabled(true);
-        let run = OfficeRun::start(&spec(TrafficSpec::None));
-        powifi_sim::conformance::set_enabled(false);
-        assert!(matches!(
-            checkpoint(&run),
-            Err(CkptError::Unsupported(_))
-        ));
-        powifi_sim::conformance::reset();
+    fn event_codec_roundtrips() {
+        let blocks = FreshBlocks {
+            injectors: BTreeMap::new(),
+            bursts: BTreeMap::new(),
+        };
+        let events: Vec<WorldEvent> = vec![
+            MacEvent::ArbFire(MediumId(2)).into(),
+            MacEvent::TxEnd(MediumId(1)).into(),
+            MacEvent::Beacon {
+                sta: StationId(3),
+                interval: SimDuration::from_micros(102_400),
+                rate: Bitrate::B1,
+            }
+            .into(),
+            MacEvent::TopUp(4).into(),
+            MacEvent::Audit {
+                period: SimDuration::from_millis(100),
+            }
+            .into(),
+            NetEvent::UdpTick {
+                flow: 1,
+                src: StationId(0),
+                dst: StationId(1),
+                interval: SimDuration::from_micros(1_176),
+                stop: SimTime::from_secs(3),
+                seq: 17,
+            }
+            .into(),
+            NetEvent::TcpRto { flow: 2, epoch: 9 }.into(),
+            NetEvent::TcpPush { flow: 2, bytes: 5 }.into(),
+            DeployEvent::BgFrame {
+                src: StationId(1),
+                frame: powifi_mac::Frame::power(StationId(1), 1500, Bitrate::G54),
+            }
+            .into(),
+        ];
+        for ev in &events {
+            let v = event_v(ev).unwrap();
+            let back = event_v(&event_from(&v, &blocks).unwrap()).unwrap();
+            assert_eq!(v, back);
+        }
+    }
+
+    /// Checked runs checkpoint too: their periodic MAC audit is a pending
+    /// typed event. A conformance-enabled run checkpointed mid-run and
+    /// resumed matches the straight checked run on events executed,
+    /// harvested joules (bit-exact) and the final state hash.
+    #[test]
+    fn checked_run_resumes_byte_identically() {
+        let _checked = powifi_sim::conformance::check();
+        metrics::reset();
+        let sp = spec(TrafficSpec::Udp { rate_mbps: 10.0 });
+        let mut a = OfficeRun::start(&sp);
+        while !a.done() {
+            a.step_epoch();
+        }
+        let (_, hash_a) = checkpoint(&a).unwrap();
+        let joules_a = a.drv.harvester().harvested.0.to_bits();
+
+        metrics::reset();
+        let mut b = OfficeRun::start(&sp);
+        for _ in 0..3 {
+            b.step_epoch();
+        }
+        let root = save_office(&b).unwrap();
+        let kinds: Vec<&str> = root
+            .get("queue")
+            .and_then(|q| q.list_field("events"))
+            .unwrap()
+            .iter()
+            .map(|e| e.get("ev").and_then(|ev| ev.str_field("kind")).unwrap())
+            .collect();
+        assert!(kinds.contains(&"audit"), "no pending audit in {kinds:?}");
+        let (bytes, _) = checkpoint(&b).unwrap();
+        drop(b);
+        metrics::reset(); // fresh process
+        let mut c = resume(&bytes).unwrap();
+        while !c.done() {
+            c.step_epoch();
+        }
+        assert_eq!(a.q.executed(), c.q.executed(), "events executed");
+        assert_eq!(
+            joules_a,
+            c.drv.harvester().harvested.0.to_bits(),
+            "harvested joules"
+        );
+        assert_eq!(hash_a, checkpoint(&c).unwrap().1, "final state hash");
+        powifi_sim::conformance::assert_clean("checked_run_resumes_byte_identically");
+        metrics::reset();
     }
 
     /// Property sweep: checkpoint at a *random* epoch, restore, run to the

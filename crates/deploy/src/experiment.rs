@@ -121,8 +121,8 @@ pub fn tcp_experiment_epochs(
     let (mut w, mut q, s) = build_office(seed, scheme, cfg);
     let end = SimTime::from_secs(secs);
     let flow = start_tcp_flow(&mut w, s.router.client_iface().sta, s.client);
-    // Typed rather than a one-shot closure, so the pending push survives
-    // checkpointing (`crate::ckpt`).
+    // A pending typed event, so the push survives checkpointing
+    // (`crate::ckpt`).
     q.post_at(
         SimTime::from_millis(100),
         powifi_net::NetEvent::TcpPush {

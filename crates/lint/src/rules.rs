@@ -8,9 +8,7 @@
 //! randomness are allowed (progress bars, run timing), so R2 and R7 exempt
 //! it. The profiler implementation (`crates/sim/src/obs/prof.rs`) is the one
 //! other place allowed to read `Instant` — R7 carries a file-level carve-out
-//! for it via [`FileContext::is_prof_impl`]. The event-queue implementation
-//! (`crates/sim/src/queue.rs`) defines the closure-scheduling API itself, so
-//! R8 carves it out via [`FileContext::is_queue_impl`]; likewise the RNG
+//! for it via [`FileContext::is_prof_impl`]. Likewise the RNG
 //! implementation (`crates/sim/src/rng.rs`) is the one place allowed to
 //! seed raw generators, so R10 carves it out via
 //! [`FileContext::is_rng_impl`]; and the streaming-telemetry wire layer
@@ -35,9 +33,9 @@ pub const SIM_CRATES: [&str; 8] = [
 ];
 
 /// Crates whose event handling is hot enough that per-event heap
-/// allocation is a perf bug (R8 scope). Deployment scenarios and test
-/// support stay closure-friendly.
-pub const HOT_CRATES: [&str; 5] = ["core", "harvest", "mac", "net", "sim"];
+/// allocation is a perf bug (R8 scope): every crate that posts events,
+/// deployment scenarios and the city runtime included.
+pub const HOT_CRATES: [&str; 6] = ["core", "deploy", "harvest", "mac", "net", "sim"];
 
 /// The fourteen rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -242,9 +240,6 @@ pub struct FileContext {
     /// (`crates/sim/src/obs/prof.rs`) — the one library file allowed to read
     /// `Instant`, so R7 skips it.
     pub is_prof_impl: bool,
-    /// File is the event-queue implementation (`crates/sim/src/queue.rs`) —
-    /// it defines the boxed-closure scheduling API, so R8 skips it.
-    pub is_queue_impl: bool,
     /// File is the RNG implementation (`crates/sim/src/rng.rs`) — the one
     /// place allowed to seed raw generators, so R10 skips it.
     pub is_rng_impl: bool,
@@ -269,7 +264,6 @@ impl FileContext {
             is_test_file: false,
             is_bin: false,
             is_prof_impl: false,
-            is_queue_impl: false,
             is_rng_impl: false,
             is_city: false,
             is_stream_impl: false,
@@ -402,9 +396,9 @@ const SOCKET_IDENTS: [&str; 5] = [
     "UnixStream",
 ];
 
-/// Closure-scheduling entry points on the event queue: each call boxes its
-/// handler on the heap, so one of these per event is a hot-path perf bug
-/// (R8). Typed posting (`post_at`/`post_in`) is the allocation-free path.
+/// The closure-scheduling entry points the event queue once had: each call
+/// boxed its handler on the heap. R8 keeps flagging the names so the API
+/// cannot come back; typed posting (`post_at`/`post_in`) is the one path.
 const CLOSURE_SCHEDULERS: [&str; 4] = [
     "schedule_at",
     "schedule_in",
@@ -681,9 +675,8 @@ fn token_pass(
             }
         }
         // R8 — per-event heap allocation in hot layers: method calls on the
-        // closure-scheduling API, and `Box<dyn Fn…>` handler types. The
-        // queue implementation itself (which defines both) is carved out.
-        if active.contains(&Rule::HotPathAlloc) && !ctx.is_queue_impl && t.kind == TokKind::Ident {
+        // closure-scheduling API, and `Box<dyn Fn…>` handler types.
+        if active.contains(&Rule::HotPathAlloc) && t.kind == TokKind::Ident {
             if CLOSURE_SCHEDULERS.contains(&t.text.as_str())
                 && i > 0
                 && toks[i - 1].text == "."
@@ -695,8 +688,7 @@ fn token_pass(
                     rule: Rule::HotPathAlloc,
                     message: format!(
                         "`.{}()` boxes one closure per event; post a typed event \
-                         (post_at/post_in) routed by the world's Dispatch impl, or \
-                         justify a cold path with an allow",
+                         (post_at/post_in) routed by the world's Dispatch impl",
                         t.text
                     ),
                 });
@@ -1377,21 +1369,17 @@ mod tests {
     }
 
     #[test]
-    fn r8_is_exempt_in_queue_impl_and_cold_crates() {
+    fn r8_patrols_queue_impl_and_deploy_but_not_cold_crates() {
         let src = "fn f(q: &mut Q) { q.schedule_at(t, cb); }";
         let mut c = FileContext::lib("sim");
-        c.is_queue_impl = true;
-        let f = check(&c, src);
-        assert!(
-            f.iter().all(|f| f.rule != Rule::HotPathAlloc),
-            "queue.rs defines the API: {f:?}"
-        );
-        c.is_queue_impl = false;
+        c.rel_path = "crates/sim/src/queue.rs".into();
         let f = check(&c, src);
         assert_eq!(f.iter().filter(|f| f.rule == Rule::HotPathAlloc).count(), 1);
-        // Deploy scenarios run once per experiment, not once per event.
-        let c = FileContext::lib("deploy");
-        let f = check(&c, src);
+        // Deployment scenarios and the city runtime post events too.
+        let f = check(&FileContext::lib("deploy"), src);
+        assert_eq!(f.iter().filter(|f| f.rule == Rule::HotPathAlloc).count(), 1);
+        // The bench harness is not an event-posting layer.
+        let f = check(&FileContext::lib("bench"), src);
         assert!(f.iter().all(|f| f.rule != Rule::HotPathAlloc), "{f:?}");
     }
 

@@ -156,19 +156,18 @@ fn r8_positive_and_negative() {
 }
 
 #[test]
-fn r8_is_exempt_in_the_queue_impl_and_deploy() {
+fn r8_patrols_the_queue_impl_and_deploy() {
     let pos = include_str!("../fixtures/r8_positive.rs");
+    for path in [
+        "crates/sim/src/queue.rs",
+        "crates/deploy/src/home.rs",
+        "crates/deploy/src/city/runtime.rs",
+    ] {
+        assert_eq!(scan_source(path, pos).len(), 5, "{path}");
+    }
     assert!(
-        scan_source("crates/sim/src/queue.rs", pos).is_empty(),
-        "queue.rs defines the scheduling API"
-    );
-    assert!(
-        scan_source("crates/deploy/src/home.rs", pos).is_empty(),
-        "deploy wiring runs once per experiment, not per event"
-    );
-    assert!(
-        !scan_source("crates/sim/src/conformance.rs", pos).is_empty(),
-        "the carve-out is one file, not the whole sim crate"
+        scan_source("crates/bench/src/runner.rs", pos).is_empty(),
+        "the bench harness posts no events"
     );
 }
 

@@ -476,7 +476,7 @@ pub fn save_mac(mac: &Mac) -> Value {
         })
         .collect();
 
-    Value::map()
+    let v = Value::map()
         .field("rng", rng_v(&mac.rng))
         .field("next_frame_id", Value::U64(mac.next_frame_id))
         .field(
@@ -485,8 +485,15 @@ pub fn save_mac(mac: &Mac) -> Value {
         )
         .field("stations", Value::List(stations))
         .field("mediums", Value::List(mediums))
-        .field("faders", Value::List(faders))
-        .build()
+        .field("faders", Value::List(faders));
+    // A top-up source's only dynamic state is the seq of its last copy. The
+    // field is left out when there are none, so top-up-free worlds keep
+    // their checkpoint form.
+    if mac.top_ups.is_empty() {
+        return v.build();
+    }
+    let seqs = mac.top_ups.iter().map(|t| Value::U64(t.frame.payload.seq));
+    v.field("top_up_seqs", Value::List(seqs.collect())).build()
 }
 
 /// Overlay a [`save_mac`] tree onto a MAC rebuilt with the same topology.
@@ -520,6 +527,17 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
     let faders = v.list_field("faders")?;
     if faders.len() != mac.faders.len() {
         return Err(field_err("faders", "fader table size mismatch"));
+    }
+
+    let top_up_seqs = match v.get("top_up_seqs") {
+        Ok(_) => v.list_field("top_up_seqs")?,
+        Err(_) => &[],
+    };
+    if top_up_seqs.len() != mac.top_ups.len() {
+        return Err(field_err("top_up_seqs", "top-up source count mismatch"));
+    }
+    for (t, sv) in mac.top_ups.iter_mut().zip(top_up_seqs) {
+        t.frame.payload.seq = sv.as_u64("top_up_seqs")?;
     }
 
     mac.rng = rng_from(v.get("rng")?, "rng")?;
@@ -670,7 +688,7 @@ pub fn restore_mac(mac: &mut Mac, v: &Value) -> Result<(), CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{enqueue, Mac, MacEvent, MacWorld, Queue};
+    use crate::world::{enqueue, start_top_up, Mac, MacEvent, MacWorld, Queue};
     use powifi_sim::ckpt;
     use powifi_sim::{Dispatch, EventQueue, SimRng};
 
@@ -734,6 +752,33 @@ mod tests {
             ckpt::state_hash(&snap2),
             "restore(save(mac)) must re-serialize to identical bytes"
         );
+    }
+
+    #[test]
+    fn top_up_seqs_survive_restore() {
+        let start = |w: &mut W, q: &mut Queue<W>| {
+            let tag = PayloadTag {
+                flow: 1,
+                seq: 0,
+                bytes: 500,
+            };
+            let f = Frame::data(StationId(0), Dest::Unicast(StationId(1)), tag);
+            start_top_up(w, q, f, 2, SimTime::ZERO, SimDuration::from_micros(300));
+        };
+        let (mut w, mut q) = build();
+        start(&mut w, &mut q);
+        q.run_until(&mut w, SimTime::from_millis(5));
+        assert!(w.mac.top_ups[0].frame.payload.seq > 0);
+        let snap = save_mac(&w.mac);
+
+        let (mut w2, mut q2) = build();
+        start(&mut w2, &mut q2);
+        restore_mac(&mut w2.mac, &snap).unwrap();
+        let again = save_mac(&w2.mac);
+        assert_eq!(ckpt::state_hash(&snap), ckpt::state_hash(&again));
+        // A rebuilt world without the source refuses the overlay.
+        let (mut w3, _q3) = build();
+        assert!(restore_mac(&mut w3.mac, &snap).is_err());
     }
 
     #[test]

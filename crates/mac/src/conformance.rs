@@ -13,7 +13,7 @@
 //! next be idle.
 
 use crate::frame::{MediumId, StationId};
-use crate::world::{MacWorld, Queue};
+use crate::world::{MacEvent, MacWorld, Queue};
 use powifi_sim::conformance::{self, Invariant, InvariantSuite};
 use powifi_sim::{SimDuration, SimTime};
 
@@ -67,12 +67,12 @@ impl<W: MacWorld> Invariant<W> for MacInvariants {
     }
 }
 
-/// Install the MAC audit on `q`, first firing at `period` and repeating
-/// every `period` thereafter.
+/// Install the MAC audit on `q`: a [`MacEvent::Audit`] first firing at
+/// `period` and repeating every `period` thereafter. The audit only reads
+/// the world and writes the thread-local sink, so installing it never
+/// changes simulation results.
 pub fn install_audit<W: MacWorld>(q: &mut Queue<W>, period: SimDuration) {
-    let mut suite = InvariantSuite::new();
-    suite.push(MacInvariants);
-    suite.install(q, SimTime::ZERO + period, period);
+    q.post_at(SimTime::ZERO + period, MacEvent::Audit { period }.into());
 }
 
 /// One immediate audit pass (e.g. at the end of a run, after the last event).
@@ -87,7 +87,7 @@ pub fn audit_now<W: MacWorld>(world: &W, now: SimTime) -> u64 {
 mod tests {
     use super::*;
     use crate::rate_adapt::RateController;
-    use crate::world::{enqueue, Mac};
+    use crate::world::{enqueue, start_top_up, Mac};
     use crate::Frame;
     use powifi_rf::Bitrate;
     use powifi_sim::SimRng;
@@ -123,15 +123,9 @@ mod tests {
         let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         let b = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         for sta in [a, b] {
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(sta) < 5 {
-                        enqueue(w, q, sta, Frame::power(sta, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            let f = Frame::power(sta, 1500, Bitrate::G54);
+            let every = SimDuration::from_micros(100);
+            start_top_up(&mut w, &mut q, f, 5, SimTime::ZERO, every);
         }
         install_audit(&mut q, SimDuration::from_millis(10));
         let end = SimTime::from_millis(500);
@@ -153,15 +147,9 @@ mod tests {
         w.mac.inject_timing_bug(true);
         // Saturate: every post-transmission access that draws backoff 0
         // starts one slot into DIFS.
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_micros(100),
-            move |w: &mut TestWorld, q| {
-                if w.mac.queue_depth(a) < 5 {
-                    enqueue(w, q, a, Frame::power(a, 1500, Bitrate::G54));
-                }
-            },
-        );
+        let f = Frame::power(a, 1500, Bitrate::G54);
+        let every = SimDuration::from_micros(100);
+        start_top_up(&mut w, &mut q, f, 5, SimTime::ZERO, every);
         install_audit(&mut q, SimDuration::from_millis(10));
         q.run_until(&mut w, SimTime::from_millis(500));
         let (count, retained) = conformance::take();

@@ -25,9 +25,9 @@ use powifi_sim::obs::trace as obs;
 use powifi_sim::{Dispatch, EventHandle, EventQueue, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
-/// The MAC layer's typed events. Hot protocol timers post these through
-/// [`powifi_sim::EventQueue::post_at`] instead of boxing a closure per
-/// event; the embedding world's event enum must absorb them via `From`.
+/// The MAC layer's typed events, posted through
+/// [`powifi_sim::EventQueue::post_at`] with no per-event allocation; the
+/// embedding world's event enum must absorb them via `From`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacEvent {
     /// Arbitration decision on a medium: the earliest backoff finisher(s)
@@ -44,7 +44,21 @@ pub enum MacEvent {
         /// Transmit rate for the beacon frame.
         rate: Bitrate,
     },
+    /// One firing of a queue-gated frame source (see [`start_top_up`]);
+    /// re-posts itself every period. Carries the source's index into the
+    /// MAC's top-up table, which holds the frame template and its seq.
+    TopUp(u32),
+    /// Periodic whole-MAC conformance audit
+    /// ([`crate::conformance::audit_now`]); re-posts itself every `period`.
+    Audit {
+        /// Audit period.
+        period: SimDuration,
+    },
 }
+
+// Every city wheel entry holds one `MacEvent`: keep it at 16 bytes (stateful
+// sources such as `TopUp` keep their state in `Mac` and carry an index).
+const _: () = assert!(std::mem::size_of::<MacEvent>() <= 16);
 
 /// The event queue of a MAC-embedding world: typed over the world's own
 /// event enum, which must absorb [`MacEvent`].
@@ -91,8 +105,8 @@ pub fn dispatch_mac<W: MacWorld>(w: &mut W, q: &mut Queue<W>, ev: MacEvent) {
         } => {
             let beacon = Frame::beacon(sta, rate);
             enqueue(w, q, sta, beacon);
-            // Body first, then re-arm — matching the repeating-closure
-            // scheduler's sequence-number order exactly.
+            // Body first, then re-arm: every periodic event keeps this
+            // order, so same-instant sequence numbers never shift.
             q.post_in(
                 interval,
                 MacEvent::Beacon {
@@ -103,7 +117,36 @@ pub fn dispatch_mac<W: MacWorld>(w: &mut W, q: &mut Queue<W>, ev: MacEvent) {
                 .into(),
             );
         }
+        MacEvent::TopUp(source) => {
+            let TopUp {
+                mut frame,
+                cap,
+                period,
+            } = w.mac().top_ups[source as usize];
+            if w.mac().queue_depth(frame.src) < cap {
+                frame.payload.seq += 1;
+                w.mac_mut().top_ups[source as usize].frame = frame;
+                enqueue(w, q, frame.src, frame);
+            }
+            q.post_in(period, MacEvent::TopUp(source).into());
+        }
+        MacEvent::Audit { period } => {
+            crate::conformance::audit_now(w, q.now());
+            q.post_in(period, MacEvent::Audit { period }.into());
+        }
     }
+}
+
+/// A queue-gated frame source, started by [`start_top_up`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TopUp {
+    /// The last copy enqueued (the template before the first); the next
+    /// copy carries `payload.seq + 1`.
+    pub(crate) frame: Frame,
+    /// Enqueue only while the source station's queue holds fewer frames.
+    pub(crate) cap: usize,
+    /// Firing period.
+    pub(crate) period: SimDuration,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,6 +248,9 @@ pub struct Mac {
     pub(crate) rng: SimRng,
     pub(crate) next_frame_id: u64,
     timing_bug: bool,
+    /// Queue-gated frame sources ([`start_top_up`]), indexed by the
+    /// [`MacEvent::TopUp`] events that drive them.
+    pub(crate) top_ups: Vec<TopUp>,
     /// Scratch buffers reused across [`arb_fire`] / [`tx_end`] invocations so
     /// the two hottest handlers do not pay a heap allocation per
     /// transmission. Always left empty between calls; neither handler can
@@ -237,6 +283,7 @@ impl Mac {
             rng,
             next_frame_id: 1,
             timing_bug: false,
+            top_ups: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -1068,6 +1115,26 @@ pub fn start_beacons<W: MacWorld>(
     );
 }
 
+/// Start a queue-gated frame source on `frame.src`: from `first`, every
+/// `period`, enqueue a copy of `frame` if the station's queue holds fewer
+/// than `cap` frames. Copies are numbered: the n-th carries
+/// `frame.payload.seq + n`. The source lives in the MAC's top-up table, so
+/// its event stays small and `Copy`.
+pub fn start_top_up<W: MacWorld>(
+    w: &mut W,
+    q: &mut Queue<W>,
+    frame: Frame,
+    cap: usize,
+    first: SimTime,
+    period: SimDuration,
+) {
+    assert!(!period.is_zero(), "zero-period top-up source");
+    let top_ups = &mut w.mac_mut().top_ups;
+    let source = top_ups.len() as u32;
+    top_ups.push(TopUp { frame, cap, period });
+    q.post_at(first, MacEvent::TopUp(source).into());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1100,6 +1167,18 @@ mod tests {
         fn dispatch(&mut self, q: &mut Queue<Self>, ev: MacEvent) {
             dispatch_mac(self, q, ev);
         }
+    }
+
+    /// Keep `f.src`'s queue below `cap`, topping it up every `period_us`.
+    fn top_up(w: &mut TestWorld, q: &mut Queue<TestWorld>, f: Frame, cap: usize, period_us: u64) {
+        start_top_up(
+            w,
+            q,
+            f,
+            cap,
+            SimTime::ZERO,
+            SimDuration::from_micros(period_us),
+        );
     }
 
     fn world() -> (TestWorld, Queue<TestWorld>) {
@@ -1182,16 +1261,8 @@ mod tests {
         let b = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         // Keep both queues topped up.
         for sta in [a, b] {
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(sta) < 5 {
-                        let f = Frame::power(sta, 1500, Bitrate::G54);
-                        enqueue(w, q, sta, f);
-                    }
-                },
-            );
+            let f = Frame::power(sta, 1500, Bitrate::G54);
+            top_up(&mut w, &mut q, f, 5, 100);
         }
         q.run_until(&mut w, SimTime::from_secs(2));
         let sa = w.mac.station(a).frames_sent as f64;
@@ -1221,24 +1292,13 @@ mod tests {
         }
         for &(_, a, b) in &pairs {
             for (src, dst) in [(a, b), (b, a)] {
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(400),
-                    move |w: &mut TestWorld, q| {
-                        if w.mac.queue_depth(src) < 3 {
-                            let f = Frame::data(
-                                src,
-                                Dest::Unicast(dst),
-                                PayloadTag {
-                                    flow: 0,
-                                    seq: 0,
-                                    bytes: 800,
-                                },
-                            );
-                            enqueue(w, q, src, f);
-                        }
-                    },
-                );
+                let tag = PayloadTag {
+                    flow: 0,
+                    seq: 0,
+                    bytes: 800,
+                };
+                let f = Frame::data(src, Dest::Unicast(dst), tag);
+                top_up(&mut w, &mut q, f, 3, 400);
             }
         }
         q.run_until(&mut w, SimTime::from_millis(50));
@@ -1275,16 +1335,8 @@ mod tests {
         let (mut w, mut q) = world();
         let m = w.mac.add_medium(SimDuration::from_secs(1));
         let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_micros(50),
-            move |w: &mut TestWorld, q| {
-                if w.mac.queue_depth(a) < 5 {
-                    let f = Frame::power(a, 1500, Bitrate::G54);
-                    enqueue(w, q, a, f);
-                }
-            },
-        );
+        let f = Frame::power(a, 1500, Bitrate::G54);
+        top_up(&mut w, &mut q, f, 5, 50);
         {
             let mon = w.mac.monitor_mut(m).monitor();
             mon.track(a);
@@ -1360,15 +1412,8 @@ mod tests {
             .map(|_| w.mac.add_station(m, RateController::fixed(Bitrate::G54)))
             .collect();
         for sta in stas {
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(200),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(sta) < 3 {
-                        enqueue(w, q, sta, Frame::power(sta, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            let f = Frame::power(sta, 1500, Bitrate::G54);
+            top_up(&mut w, &mut q, f, 3, 200);
         }
         q.run_until(&mut w, SimTime::from_secs(2));
         assert!(
@@ -1408,15 +1453,8 @@ mod tests {
             w.mac.timing = timing;
             let m = w.mac.add_medium(SimDuration::from_secs(1));
             let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
-            q.schedule_repeating(
-                SimTime::ZERO,
-                SimDuration::from_micros(100),
-                move |w: &mut TestWorld, q| {
-                    if w.mac.queue_depth(a) < 5 {
-                        enqueue(w, q, a, Frame::power(a, 1500, Bitrate::G54));
-                    }
-                },
-            );
+            let f = Frame::power(a, 1500, Bitrate::G54);
+            top_up(&mut w, &mut q, f, 5, 100);
             q.run_until(&mut w, SimTime::from_secs(2));
             w.mac.station(a).frames_sent
         };
@@ -1463,24 +1501,13 @@ mod tests {
         w.mac.set_link_snr(a, b, Db(25.0));
         w.mac
             .set_link_fader(a, b, BlockFader::indoor_obstructed(SimRng::from_seed(5)));
-        q.schedule_repeating(
-            SimTime::ZERO,
-            SimDuration::from_millis(2),
-            move |w: &mut TestWorld, q| {
-                if w.mac.queue_depth(a) < 3 {
-                    let f = Frame::data(
-                        a,
-                        Dest::Unicast(b),
-                        PayloadTag {
-                            flow: 1,
-                            seq: 0,
-                            bytes: 1000,
-                        },
-                    );
-                    enqueue(w, q, a, f);
-                }
-            },
-        );
+        let tag = PayloadTag {
+            flow: 1,
+            seq: 0,
+            bytes: 1000,
+        };
+        let f = Frame::data(a, Dest::Unicast(b), tag);
+        top_up(&mut w, &mut q, f, 3, 2000);
         q.run_until(&mut w, SimTime::from_secs(4));
         let sent = w.mac.station(a).frames_sent;
         let retx = w.mac.station(a).retransmissions;

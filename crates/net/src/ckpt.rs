@@ -106,12 +106,12 @@ fn tcp_v(f: &TcpFlow) -> Value {
 }
 
 /// Serialize the transport state. Fails with
-/// [`CkptError::Unsupported`] if any page load is registered: page state
-/// owns closure-scheduled WAN round trips that cannot be serialized.
+/// [`CkptError::Unsupported`] if any page load is registered: page-load
+/// state is not serialized.
 pub fn save_net(net: &NetState) -> Result<Value, CkptError> {
     if !net.pages.is_empty() {
         return Err(CkptError::Unsupported(
-            "page-load state cannot be checkpointed (in-flight WAN callbacks)".into(),
+            "page-load state is not serialized".into(),
         ));
     }
     let flows = net

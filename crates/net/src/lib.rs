@@ -66,9 +66,8 @@ pub enum NetEvent {
         /// Object size in bytes.
         bytes: u64,
     },
-    /// Authorize `bytes` more on a TCP flow at a scheduled instant — the
-    /// typed form of a one-shot `tcp_push` closure, so deferred pushes
-    /// survive checkpointing.
+    /// Authorize `bytes` more on a TCP flow at a scheduled instant: a
+    /// deferred [`tcp_push`].
     TcpPush {
         /// Flow id.
         flow: FlowId,
@@ -195,6 +194,11 @@ mod tests {
         (w, Queue::new(), ap, client)
     }
 
+    /// Authorize `bytes` on `flow` at t = 0: a pending [`tcp_push`].
+    fn push_at_zero(q: &mut Queue<W>, flow: FlowId, bytes: u64) {
+        q.post_at(SimTime::ZERO, NetEvent::TcpPush { flow, bytes }.into());
+    }
+
     #[test]
     fn udp_flow_delivers_at_offered_rate() {
         let (mut w, mut q, ap, client) = world();
@@ -265,9 +269,7 @@ mod tests {
         let (mut w, mut q, ap, client) = world();
         let flow = start_tcp_flow(&mut w, ap, client);
         // Seed inside the event loop so `now` is defined.
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, 100_000_000);
-        });
+        push_at_zero(&mut q, flow, 100_000_000);
         q.run_until(&mut w, SimTime::from_secs(5));
         let f = w.net.tcp(flow);
         let got = f.mean_mbps();
@@ -280,9 +282,7 @@ mod tests {
     fn tcp_transfer_completes_and_reports() {
         let (mut w, mut q, ap, client) = world();
         let flow = start_tcp_flow(&mut w, ap, client);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, 500_000); // 500 kB
-        });
+        push_at_zero(&mut q, flow, 500_000); // 500 kB
         q.run_until(&mut w, SimTime::from_secs(10));
         let f = w.net.tcp(flow);
         let done = f.completed_at.expect("transfer should finish");
@@ -298,9 +298,7 @@ mod tests {
         w.mac.set_link_snr(ap, client, powifi_rf::Db(24.5));
         w.mac.set_link_snr(client, ap, powifi_rf::Db(35.0));
         let flow = start_tcp_flow(&mut w, ap, client);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, flow, 2_000_000);
-        });
+        push_at_zero(&mut q, flow, 2_000_000);
         q.run_until(&mut w, SimTime::from_secs(30));
         let f = w.net.tcp(flow);
         assert!(f.completed_at.is_some(), "did not complete");
@@ -313,10 +311,8 @@ mod tests {
         let client2 = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
         let f1 = start_tcp_flow(&mut w, ap, client);
         let f2 = start_tcp_flow(&mut w, ap, client2);
-        q.schedule_at(SimTime::ZERO, move |w: &mut W, q| {
-            tcp_push(w, q, f1, 100_000_000);
-            tcp_push(w, q, f2, 100_000_000);
-        });
+        push_at_zero(&mut q, f1, 100_000_000);
+        push_at_zero(&mut q, f2, 100_000_000);
         q.run_until(&mut w, SimTime::from_secs(6));
         let a = w.net.tcp(f1).mean_mbps();
         let b = w.net.tcp(f2).mean_mbps();

@@ -63,8 +63,9 @@ pub enum CkptError {
         /// What was expected there.
         message: String,
     },
-    /// The checkpointed state cannot be restored by this build (e.g. a
-    /// pending boxed closure was encountered at save time).
+    /// The state cannot be checkpointed or restored by this build (e.g. a
+    /// pending event kind with no serial form was encountered at save
+    /// time).
     Unsupported(String),
 }
 
@@ -557,13 +558,23 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, CkptError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| parse_err(*pos, "non-utf8 string body"))?;
-                let c = rest.chars().next().unwrap_or('\u{fffd}');
+            Some(&lead) => {
+                // Advance one UTF-8 scalar, validating only its own bytes
+                // (its length follows from the lead byte).
+                let len = match lead {
+                    0x00..=0x7f => 1,
+                    0xc2..=0xdf => 2,
+                    0xe0..=0xef => 3,
+                    0xf0..=0xf4 => 4,
+                    _ => 0,
+                };
+                let c = b
+                    .get(*pos..*pos + len)
+                    .and_then(|s| std::str::from_utf8(s).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| parse_err(*pos, "non-utf8 string body"))?;
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += len;
             }
         }
     }
@@ -684,6 +695,41 @@ mod tests {
         let back = parse(&enc).unwrap();
         assert_eq!(v, back);
         assert_eq!(back.encode(), enc, "canonical form is a fixed point");
+    }
+
+    #[test]
+    fn multibyte_scalars_roundtrip() {
+        let v = Value::List(["é", "🔋 charged", "aé🔋z"].map(Value::str).to_vec());
+        let back = parse(&v.encode()).unwrap();
+        assert_eq!(back, v);
+    }
+
+    fn parse_err_at(bytes: &[u8]) -> (usize, String) {
+        let mut pos = 0;
+        match parse_value(bytes, &mut pos) {
+            Err(CkptError::Parse { offset, message }) => (offset, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_byte_in_string_body_is_rejected_where_it_sits() {
+        // `["ok","a<ff>b"]`: the bad byte is at offset 8, inside the second
+        // string.
+        let (offset, message) = parse_err_at(b"[\"ok\",\"a\xffb\"]");
+        assert_eq!((offset, message.as_str()), (8, "non-utf8 string body"));
+        // A truncated multi-byte scalar is rejected at its lead byte.
+        let (offset, message) = parse_err_at(b"\"ab\xf0\x9f\"");
+        assert_eq!((offset, message.as_str()), (3, "non-utf8 string body"));
+    }
+
+    #[test]
+    fn invalid_byte_after_a_string_is_reported_at_its_own_position() {
+        // `["ok",<ff>]`: the string parses; the error names offset 6, not
+        // the earlier string.
+        let (offset, message) = parse_err_at(b"[\"ok\",\xff]");
+        assert_eq!(offset, 6);
+        assert!(message.starts_with("unexpected byte"), "{message}");
     }
 
     #[test]

@@ -4,44 +4,50 @@ use powifi_sim::{
     Cdf, Dispatch, EventQueue, PowerEnvelope, SimDuration, SimTime, TimeWeighted, Welford,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
-/// Records the insertion index of every event that fires, typed or boxed.
+/// Records the id of every event that fires, with its firing time.
 #[derive(Default)]
 struct Log {
     fired: Vec<usize>,
+    times: Vec<u64>,
 }
 
 impl Dispatch<usize> for Log {
-    fn dispatch(&mut self, _q: &mut EventQueue<Self, usize>, id: usize) {
+    fn dispatch(&mut self, q: &mut EventQueue<Self, usize>, id: usize) {
         self.fired.push(id);
+        self.times.push(q.now().as_nanos());
+    }
+}
+
+/// A periodic tick that re-posts itself every `period` ns.
+struct Ticks(u64);
+
+impl Dispatch<u64> for Ticks {
+    fn dispatch(&mut self, q: &mut EventQueue<Self, u64>, period: u64) {
+        self.0 += 1;
+        q.post_in(SimDuration::from_nanos(period), period);
     }
 }
 
 proptest! {
     /// The wheel/heap/overflow queue is observationally identical to the
     /// naive model it replaced: a list of `(time, insertion-order)` pairs
-    /// stably sorted by time. Same pop order, same FIFO tie-break between
-    /// typed and boxed entries, same cancellation semantics — including
-    /// cancels issued mid-run against handles that already fired.
+    /// stably sorted by time. Same pop order, same FIFO tie-break, same
+    /// cancellation semantics — including cancels issued mid-run against
+    /// handles that already fired.
     #[test]
     fn queue_matches_naive_model(
         ops in prop::collection::vec(
-            // (time, typed-vs-boxed, 0 = keep / 1 = cancel now / 2 = cancel at mid)
-            (0u64..60_000_000, prop::bool::ANY, 0u8..3),
+            // (time, 0 = keep / 1 = cancel now / 2 = cancel at mid)
+            (0u64..60_000_000, 0u8..3),
             1..300,
         ),
         mid in 0u64..60_000_000,
     ) {
         let mut q = EventQueue::<Log, usize>::new();
         let mut later = Vec::new();
-        for (i, &(t, typed, mode)) in ops.iter().enumerate() {
-            let h = if typed {
-                q.post_at(SimTime::from_nanos(t), i)
-            } else {
-                q.schedule_at(SimTime::from_nanos(t), move |w: &mut Log, _| w.fired.push(i))
-            };
+        for (i, &(t, mode)) in ops.iter().enumerate() {
+            let h = q.post_at(SimTime::from_nanos(t), i);
             match mode {
                 1 => q.cancel(h),
                 2 => later.push(h),
@@ -63,8 +69,8 @@ proptest! {
         let mut model: Vec<(u64, usize)> = ops
             .iter()
             .enumerate()
-            .filter(|&(_, &(t, _, mode))| mode == 0 || (mode == 2 && t <= mid))
-            .map(|(i, &(t, _, _))| (t, i))
+            .filter(|&(_, &(t, mode))| mode == 0 || (mode == 2 && t <= mid))
+            .map(|(i, &(t, _))| (t, i))
             .collect();
         model.sort_by_key(|&(t, _)| t);
         let expect: Vec<usize> = model.into_iter().map(|(_, i)| i).collect();
@@ -76,28 +82,26 @@ proptest! {
     /// insertion order, and every non-cancelled event fires exactly once.
     #[test]
     fn queue_fires_in_order_and_exactly_once(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::<Vec<u64>>::new();
-        let mut w: Vec<u64> = Vec::new();
-        for &t in &times {
-            q.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, q| {
-                w.push(q.now().as_nanos());
-            });
+        let mut q = EventQueue::<Log, usize>::new();
+        let mut w = Log::default();
+        for (i, &t) in times.iter().enumerate() {
+            q.post_at(SimTime::from_nanos(t), i);
         }
         q.run_to_completion(&mut w);
-        prop_assert_eq!(w.len(), times.len());
+        prop_assert_eq!(w.times.len(), times.len());
         let mut sorted = times.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(w, sorted);
+        prop_assert_eq!(w.times, sorted);
     }
 
     /// Cancelled events never fire; everything else does.
     #[test]
     fn cancellation_is_exact(spec in prop::collection::vec((0u64..100_000, prop::bool::ANY), 1..100)) {
-        let mut q = EventQueue::<Vec<usize>>::new();
-        let mut w: Vec<usize> = Vec::new();
+        let mut q = EventQueue::<Log, usize>::new();
+        let mut w = Log::default();
         let mut cancelled = Vec::new();
         for (i, &(t, cancel)) in spec.iter().enumerate() {
-            let h = q.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<usize>, _| w.push(i));
+            let h = q.post_at(SimTime::from_nanos(t), i);
             if cancel {
                 q.cancel(h);
                 cancelled.push(i);
@@ -105,25 +109,20 @@ proptest! {
         }
         q.run_to_completion(&mut w);
         for i in &cancelled {
-            prop_assert!(!w.contains(i));
+            prop_assert!(!w.fired.contains(i));
         }
-        prop_assert_eq!(w.len(), spec.len() - cancelled.len());
+        prop_assert_eq!(w.fired.len(), spec.len() - cancelled.len());
     }
 
-    /// Repeating events fire exactly floor((horizon - first)/period) + 1 times.
+    /// A self-re-posting event fires exactly floor((horizon - first)/period) + 1 times.
     #[test]
-    fn repeating_count_is_exact(first in 0u64..1000, period in 1u64..500, horizon in 1000u64..20_000) {
-        let count = Rc::new(RefCell::new(0u64));
-        let c = count.clone();
-        let mut q = EventQueue::<()>::new();
-        q.schedule_repeating(
-            SimTime::from_nanos(first),
-            SimDuration::from_nanos(period),
-            move |_, _| *c.borrow_mut() += 1,
-        );
-        q.run_until(&mut (), SimTime::from_nanos(horizon));
+    fn periodic_count_is_exact(first in 0u64..1000, period in 1u64..500, horizon in 1000u64..20_000) {
+        let mut q = EventQueue::<Ticks, u64>::new();
+        let mut w = Ticks(0);
+        q.post_at(SimTime::from_nanos(first), period);
+        q.run_until(&mut w, SimTime::from_nanos(horizon));
         let expect = if first > horizon { 0 } else { (horizon - first) / period + 1 };
-        prop_assert_eq!(*count.borrow(), expect);
+        prop_assert_eq!(w.0, expect);
     }
 
     /// Welford mean/min/max agree with direct computation.

@@ -15,7 +15,7 @@
 use powifi_core::{
     dispatch_core_stack, spawn_injector, CoreStackEvent, JitterModel, PowerTrafficConfig,
 };
-use powifi_mac::world::{enqueue, start_beacons};
+use powifi_mac::world::{start_beacons, start_top_up};
 use powifi_mac::{
     conformance as mac_conformance, Dest, Frame, Mac, MacTiming, MacWorld, PayloadTag, Queue,
     RateController, StationId,
@@ -276,25 +276,14 @@ pub fn run_spec(spec: &TopologySpec, inject_bug: bool) -> CaseResult {
                 }
                 let peer = peers[*peer_rank as usize % peers.len()];
                 w.mac.set_link_snr(sta, peer, Db(*snr_db));
-                let bytes = *bytes;
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(*period_us),
-                    move |w: &mut FuzzWorld, q| {
-                        if w.mac.queue_depth(sta) < 4 {
-                            let f = Frame::data(
-                                sta,
-                                Dest::Unicast(peer),
-                                PayloadTag {
-                                    flow: sta.0,
-                                    seq: 0,
-                                    bytes,
-                                },
-                            );
-                            enqueue(w, q, sta, f);
-                        }
-                    },
-                );
+                let tag = PayloadTag {
+                    flow: sta.0,
+                    seq: 0,
+                    bytes: *bytes,
+                };
+                let f = Frame::data(sta, Dest::Unicast(peer), tag);
+                let period = SimDuration::from_micros(*period_us);
+                start_top_up(&mut w, &mut q, f, 4, SimTime::ZERO, period);
             }
             Role::Beacon => {
                 start_beacons(

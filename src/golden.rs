@@ -17,7 +17,7 @@ use powifi_core::{
     dispatch_core_stack, spawn_injector, CoreStackEvent, JitterModel, PowerTrafficConfig,
 };
 use powifi_mac::{
-    enqueue, Dest, Frame, Mac, MacWorld, PayloadTag, Queue, RateController, StationId,
+    start_top_up, Dest, Frame, Mac, MacWorld, PayloadTag, Queue, RateController, StationId,
 };
 use powifi_rf::{Bitrate, Db};
 use powifi_sim::conformance;
@@ -68,15 +68,8 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                 let m = w.mac.add_medium(SimDuration::from_millis(1));
                 let a = w.mac.add_station(m, RateController::fixed(Bitrate::G54));
                 w.mac.enable_trace(m, TRACE_CAP);
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(400),
-                    move |w: &mut GoldenWorld, q| {
-                        if w.mac.queue_depth(a) < 3 {
-                            enqueue(w, q, a, Frame::power(a, 1400, Bitrate::G54));
-                        }
-                    },
-                );
+                let f = Frame::power(a, 1400, Bitrate::G54);
+                start_top_up(w, q, f, 3, SimTime::ZERO, SimDuration::from_micros(400));
             },
         },
         GoldenScenario {
@@ -87,15 +80,8 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                 let m = w.mac.add_medium(SimDuration::from_millis(1));
                 for rate in [Bitrate::G54, Bitrate::G24] {
                     let sta = w.mac.add_station(m, RateController::fixed(rate));
-                    q.schedule_repeating(
-                        SimTime::ZERO,
-                        SimDuration::from_micros(500),
-                        move |w: &mut GoldenWorld, q| {
-                            if w.mac.queue_depth(sta) < 3 {
-                                enqueue(w, q, sta, Frame::power(sta, 1200, rate));
-                            }
-                        },
-                    );
+                    let f = Frame::power(sta, 1200, rate);
+                    start_top_up(w, q, f, 3, SimTime::ZERO, SimDuration::from_micros(500));
                 }
                 w.mac.enable_trace(powifi_mac::MediumId(0), TRACE_CAP);
             },
@@ -110,18 +96,15 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                 let b = w.mac.add_station(m, RateController::fixed(Bitrate::G12));
                 w.mac.set_link_snr(a, b, Db(0.0));
                 w.mac.enable_trace(m, TRACE_CAP);
-                q.schedule_at(SimTime::ZERO, move |w: &mut GoldenWorld, q| {
-                    let f = Frame::data(
-                        a,
-                        Dest::Unicast(b),
-                        PayloadTag {
-                            flow: 1,
-                            seq: 0,
-                            bytes: 600,
-                        },
-                    );
-                    enqueue(w, q, a, f);
-                });
+                let tag = PayloadTag {
+                    flow: 1,
+                    seq: 0,
+                    bytes: 600,
+                };
+                // One frame at t = 0: the source's next firing lies past
+                // the horizon.
+                let f = Frame::data(a, Dest::Unicast(b), tag);
+                start_top_up(w, q, f, 1, SimTime::ZERO, SimDuration::from_secs(1));
             },
         },
         GoldenScenario {
@@ -164,15 +147,8 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                     SimDuration::from_micros(2_000),
                     Bitrate::B1,
                 );
-                q.schedule_repeating(
-                    SimTime::ZERO,
-                    SimDuration::from_micros(800),
-                    move |w: &mut GoldenWorld, q| {
-                        if w.mac.queue_depth(inj) < 2 {
-                            enqueue(w, q, inj, Frame::power(inj, 1000, Bitrate::G24));
-                        }
-                    },
-                );
+                let f = Frame::power(inj, 1000, Bitrate::G24);
+                start_top_up(w, q, f, 2, SimTime::ZERO, SimDuration::from_micros(800));
             },
         },
         GoldenScenario {
@@ -190,15 +166,9 @@ pub fn scenarios() -> Vec<GoldenScenario> {
                         Bitrate::G6
                     };
                     let sta = w.mac.add_station(m, RateController::fixed(rate));
-                    q.schedule_repeating(
-                        SimTime::from_micros(u64::from(i) * 37),
-                        SimDuration::from_micros(600),
-                        move |w: &mut GoldenWorld, q| {
-                            if w.mac.queue_depth(sta) < 2 {
-                                enqueue(w, q, sta, Frame::power(sta, 900, rate));
-                            }
-                        },
-                    );
+                    let first = SimTime::from_micros(u64::from(i) * 37);
+                    let f = Frame::power(sta, 900, rate);
+                    start_top_up(w, q, f, 2, first, SimDuration::from_micros(600));
                 }
             },
         },
